@@ -31,12 +31,11 @@
 //! cargo run --release -p ec-bench --bin record [-- OUTPUT_PATH [EVENTS]]
 //! ```
 //!
-//! The output file is a JSON array of entries (oldest first). A legacy
-//! single-object file from earlier revisions is migrated in place by
-//! wrapping it as the first entry. Defaults: `BENCH_runtime.json` in
-//! the current directory, 20_000 events per timed run. Each
-//! configuration runs one warmup pass and three timed passes; the
-//! median is reported.
+//! The output file is a JSON array of entries (oldest first); any other
+//! content is refused rather than overwritten. Defaults:
+//! `BENCH_runtime.json` in the current directory, 20_000 events per
+//! timed run. Each configuration runs one warmup pass and three timed
+//! passes; the median is reported.
 
 use ec_bench::{
     drive_runtime, drive_runtime_parallel, drive_sessions, drive_wire, ingest_workload,
@@ -325,8 +324,7 @@ fn measure_store(events: u64) -> String {
     )
 }
 
-/// Appends `entry` to the JSON-array trajectory at `path`, migrating a
-/// legacy single-object file by wrapping it as the first element.
+/// Appends `entry` to the JSON-array trajectory at `path`.
 fn append_entry(path: &str, entry: &str) -> std::io::Result<()> {
     let existing = match std::fs::read_to_string(path) {
         Ok(s) => s.trim().to_string(),
@@ -335,22 +333,19 @@ fn append_entry(path: &str, entry: &str) -> std::io::Result<()> {
     };
     let body = if existing.is_empty() {
         format!("[\n{entry}\n]\n")
-    } else if existing.ends_with(']') {
-        // Already a trajectory array: splice the new entry in before
-        // the closing bracket.
-        let inner = existing[..existing.len() - 1].trim_end();
+    } else if let Some(inner) = existing.strip_suffix(']') {
+        // Splice the new entry in before the closing bracket.
+        let inner = inner.trim_end();
         if inner.ends_with('[') {
             format!("{inner}\n{entry}\n]\n") // degenerate empty array
         } else {
             format!("{inner},\n{entry}\n]\n")
         }
     } else {
-        // Legacy single-object file: wrap it as the first entry.
-        let indented: String = existing
-            .lines()
-            .map(|l| format!("  {l}\n"))
-            .collect::<String>();
-        format!("[\n{},\n{entry}\n]\n", indented.trim_end())
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{path} is not a JSON array of entries"),
+        ));
     };
     // Write-then-rename: an interrupt mid-write must not destroy the
     // accumulated trajectory the file exists to preserve.

@@ -25,9 +25,10 @@
 //! * [`densify`] — converts a module set into the paper's "obvious
 //!   solution" (emit everything every phase) for the message-rate
 //!   experiments ([`dense`]).
-//! * [`RunQueue`], [`WorkerPool`] — the concurrency substrate the
-//!   paper's prototype took from `java.util.concurrent` ([`queue`],
-//!   [`pool`]).
+//! * [`ShardedQueue`], [`WorkerPool`] — the concurrency substrate: the
+//!   paper's §3.2 blocking run queue as per-worker work-stealing shards
+//!   with admission lanes, and the computation threads that drain it
+//!   ([`shard`], [`pool`]).
 //! * [`ExecutionHistory`] — per-vertex emission logs and the
 //!   serializability comparison ([`history`]).
 //! * [`Trace`] — Figure-3-style set-membership snapshots ([`trace`]).
@@ -66,7 +67,6 @@ pub mod metrics;
 pub mod module;
 pub mod multi;
 pub mod pool;
-pub mod queue;
 pub mod sequential;
 pub mod shard;
 mod state;
@@ -93,8 +93,7 @@ pub use module::{
 };
 pub use multi::EnginePool;
 pub use pool::WorkerPool;
-pub use queue::{Dequeued, RunQueue};
 pub use sequential::Sequential;
-pub use shard::{QueueStats, ShardedQueue};
+pub use shard::{Dequeued, QueueStats, ShardedQueue};
 pub use stepper::{StepOutcome, Stepper};
 pub use trace::{SetMembership, SetSnapshot, Trace, TraceEvent, TraceStep};

@@ -1,12 +1,12 @@
 //! The sharded work-stealing run queue.
 //!
-//! [`RunQueue`](crate::queue::RunQueue) is the paper's §3.2 primitive: one
-//! mutex, one condvar, every worker contending on both for every task.
-//! That is faithful, but it serializes the hot path — each enqueue takes
-//! the global queue lock and signals a condvar shared by every parked
-//! worker, so a burst of admissions stampedes the whole pool.
+//! The paper's §3.2 run queue is one blocking FIFO: "any thread
+//! executing a dequeue operation suspends until an item is available",
+//! and each item is dequeued at most once. Built as one mutex and one
+//! condvar, every worker would contend on both for every task, and a
+//! burst of admissions would stampede the whole pool.
 //!
-//! [`ShardedQueue`] keeps the same contract (each item dequeued exactly
+//! [`ShardedQueue`] keeps that contract (each item dequeued exactly
 //! once; `close` delivers the backlog before consumers observe `Closed`)
 //! with a scalable shape:
 //!
@@ -32,15 +32,46 @@
 //!   wake-throttling rule — so an admission burst wakes one worker, and
 //!   workers chain-wake siblings only while backlog remains.
 //!
-//! ## Why lost wakeups cannot happen
+//! ## Parking, and the known lost wakeup
 //!
-//! A worker parks only after (1) failing to find work anywhere, (2)
-//! pushing itself onto the sleeper stack, and (3) re-checking the global
-//! item count *after* registering. A producer increments the item count
-//! *before* consulting the sleeper stack. Both counters are sequentially
-//! consistent, so for any enqueue/park race either the worker's re-check
-//! sees the new item, or the producer's wake sees the registered sleeper
-//! — there is no interleaving in which an item waits on a parked pool.
+//! What holds: a worker parks only after (1) failing to find work
+//! anywhere, (2) pushing itself onto the sleeper stack, and (3)
+//! re-checking the global item count *after* registering. A producer
+//! increments the item count *before* consulting the sleeper stack.
+//! Both counters are sequentially consistent, so in a race between one
+//! enqueue and one park either the worker's re-check sees the new item,
+//! or the producer's wake finds the registered sleeper.
+//!
+//! What does not hold: that argument assumes every wake the producer
+//! issues reaches a worker that then acknowledges it. The wake
+//! throttle breaks that assumption. A wake is a credit in
+//! `pending_wakes`, and while any credit is outstanding `maybe_wake`
+//! sends no wake at all. Credits leak:
+//!
+//! * A park that returns on a stale token (set by a wake whose credit
+//!   was already acknowledged in `deregister`) does not remove the
+//!   worker's entry from the sleeper stack. The stale entry stays as a
+//!   ghost, so one worker can sit on the stack twice (dumps show
+//!   `sleepers=[0, 0, 1]` with two workers).
+//! * A second wake can then pop the other entry of a worker that is
+//!   parked and has not yet resumed from the first: two credits, but a
+//!   parker's token is a single flag, so the worker wakes once and
+//!   acknowledges once. (Instrumented runs of the test below show
+//!   exactly this: a wake whose target was still parked with its
+//!   token already set.)
+//!
+//! The leftover credit is never acknowledged. From then on no producer
+//! wakes anyone: items wait in the lanes while every worker is parked,
+//! with `pending_wakes == 1` and `parks == wakes + 1`. With a worker
+//! still running, the same leak leaves one worker parked for good,
+//! and the pool runs as a single worker: a saturated `stream`
+//! benchmark run sat at `idle=1 pending=1 sleepers=[0]` and matched a
+//! one-worker run (259k vs 244k events/s, 5.28 vs 5.34 µs of CPU per
+//! event, on 2 vCPUs). The `lost_wakeup_under_bursty_lanes` test
+//! reproduces the hang; it is ignored until the park protocol is
+//! fixed. A lock-held park protocol without credits does not hang, but
+//! waking the second worker cost 74% more CPU per event on `stream`,
+//! so the fix waits for the scheduler's contention work.
 
 use ec_obs::{FlightRecorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -49,7 +80,14 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
-pub use crate::queue::Dequeued;
+/// Result of a blocking dequeue.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Dequeued<T> {
+    /// An item was removed from the queue.
+    Item(T),
+    /// The queue was closed and fully drained; the worker should exit.
+    Closed,
+}
 
 /// Batch items a weight-1 lane contributes per refill visit. A lane of
 /// weight `w` contributes up to `w * LANE_QUANTUM` (capped at
@@ -277,9 +315,10 @@ impl<T> ShardedQueue<T> {
 
     /// Wakes one parked worker — unless another worker is already
     /// searching for work, or a previous wake has not been picked up
-    /// yet (either will re-check the item count before parking, so the
-    /// new item cannot be stranded). One wake per burst, not one per
-    /// enqueue: the pool ramps up worker by worker via chain-wakes.
+    /// yet (either will re-check the item count before parking). One
+    /// wake per burst, not one per enqueue: the pool ramps up worker by
+    /// worker via chain-wakes. A leaked wake credit makes the second
+    /// condition hold forever and strands new items (module docs).
     fn maybe_wake(&self) {
         if self.idle.load(SeqCst) == 0
             || self.searching.load(SeqCst) > 0
@@ -324,7 +363,8 @@ impl<T> ShardedQueue<T> {
     /// further wake while this worker drains its local queue, and the
     /// pool would degrade to a single busy worker. The stale park token
     /// is swallowed (with a saturating second ack) by the worker's next
-    /// `park`.
+    /// `park`, which then leaves that park's sleeper entry behind as a
+    /// ghost (module docs).
     fn deregister(&self, worker: usize) {
         let popped_by_producer = {
             let mut sleepers = self.sleepers.lock();
@@ -727,8 +767,7 @@ mod tests {
     #[test]
     fn close_while_stealing_delivers_backlog_exactly_once() {
         // `close` races a pool that is mid-steal: every enqueued item
-        // must still be delivered exactly once before Closed surfaces —
-        // RunQueue::close semantics, under the sharded design.
+        // must still be delivered exactly once before Closed surfaces.
         const ROUNDS: usize = 50;
         const ITEMS: usize = 500;
         const WORKERS: usize = 4;
@@ -813,6 +852,102 @@ mod tests {
         assert!(q.stats.parks.load(Relaxed) >= 1);
         assert!(q.stats.wakes.load(Relaxed) >= 1);
         q.close();
+    }
+
+    /// Known bug (see "Parking, and the known lost wakeup" in the module
+    /// docs): two workers that re-enqueue follow-ons to their own
+    /// shard, fed by three producers pushing bursts of 1–3 items into
+    /// three lanes, end up both parked with every item in the lanes.
+    /// A watchdog turns the hang into a failure: after 2 s without
+    /// progress while items are queued it dumps the wake state, closes
+    /// the queue so every thread exits, and panics.
+    #[test]
+    #[ignore = "known lost wakeup, ROADMAP item 1"]
+    fn lost_wakeup_under_bursty_lanes() {
+        use std::time::Instant;
+        const WORKERS: usize = 2;
+        const LANES: usize = 3;
+        const BACKLOG_CAP: usize = 256;
+        const STALL: Duration = Duration::from_secs(2);
+        const BUDGET: Duration = Duration::from_secs(10);
+
+        let q = Arc::new(ShardedQueue::<u32>::with_lanes(WORKERS, LANES));
+        let done = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (q, done) = (Arc::clone(&q), Arc::clone(&done));
+                thread::spawn(move || {
+                    let mut seed = w as u64 + 1;
+                    while let Dequeued::Item(follow_ons) = q.dequeue(w, &mut seed) {
+                        if follow_ons > 0 {
+                            q.enqueue(follow_ons - 1, Some(w));
+                        }
+                        done.fetch_add(1, Relaxed);
+                    }
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..LANES)
+            .map(|lane| {
+                let (q, stop) = (Arc::clone(&q), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ (lane as u64 + 1);
+                    let mut next = || {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        seed
+                    };
+                    while !stop.load(Relaxed) {
+                        for _ in 0..=next() % 3 {
+                            q.enqueue_lane((next() % 3) as u32, lane);
+                        }
+                        for _ in 0..next() % 64 {
+                            std::hint::spin_loop();
+                        }
+                        while q.len() > BACKLOG_CAP && !stop.load(Relaxed) {
+                            thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+
+        let started = Instant::now();
+        let (mut seen, mut last_progress) = (done.load(Relaxed), Instant::now());
+        let mut stalled = None;
+        while started.elapsed() < BUDGET {
+            thread::sleep(Duration::from_millis(10));
+            let now = done.load(Relaxed);
+            if now != seen {
+                (seen, last_progress) = (now, Instant::now());
+            } else if last_progress.elapsed() >= STALL && !q.is_empty() {
+                stalled = Some(format!(
+                    "no progress for {STALL:?} after {seen} items with {} queued: \
+                     idle={} searching={} pending_wakes={} sleepers={:?} \
+                     lanes={:?} shards={:?} parks={} wakes={}",
+                    q.len(),
+                    q.idle.load(SeqCst),
+                    q.searching.load(SeqCst),
+                    q.pending_wakes.load(SeqCst),
+                    *q.sleepers.lock(),
+                    (0..LANES).map(|l| q.lane_depth(l)).collect::<Vec<_>>(),
+                    q.shard_depths(),
+                    q.stats.parks.load(Relaxed),
+                    q.stats.wakes.load(Relaxed),
+                ));
+                break;
+            }
+        }
+        stop.store(true, Relaxed);
+        q.close();
+        for h in producers.into_iter().chain(workers) {
+            h.join().unwrap();
+        }
+        if let Some(dump) = stalled {
+            panic!("lost wakeup: {dump}");
+        }
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub use health::{
     HealthConfig, HealthMonitor, HealthReport, LaneHealth, LaneObs, Observation, SourceObs, Verdict,
 };
 pub use hist::{HistogramBank, HistogramSnapshot, LogHistogram};
-pub use prom::{validate_exposition, PromText};
+pub use prom::{parse_sample, validate_exposition, PromText, Sample};
 pub use recorder::{chrome_trace_from, validate_chrome_trace, FlightRecorder, SpanEvent, SpanKind};
 pub use serve::{http_get, MetricsServer, RenderFn, Route, CONTENT_TYPE_JSON, CONTENT_TYPE_PROM};

@@ -1,12 +1,14 @@
-//! Prometheus text-exposition rendering (format 0.0.4) and a strict
-//! validator for it.
+//! Prometheus text-exposition rendering (format 0.0.4), a sample
+//! parser, and a strict validator.
 //!
 //! The renderer is a plain string builder — no registry of live
 //! handles, no background state. Whoever owns the numbers (the runtime,
 //! a session pool) renders them fresh on every scrape; [`PromText`]
 //! only guarantees the *format* is right. [`validate_exposition`] is
 //! the other half of that guarantee: tests and the CI smoke job run
-//! every rendered page through it.
+//! every rendered page through it. [`parse_sample`] reads one sample
+//! line back, label values unescaped; the validator and `ec top` both
+//! use it.
 
 use crate::hist::HistogramSnapshot;
 use std::fmt::Write as _;
@@ -150,24 +152,8 @@ pub fn validate_exposition(page: &str) -> Result<usize, String> {
             }
             continue;
         }
-        // Sample line: name[{labels}] value
-        let (name_part, value_part) = match line.find(['{', ' ']) {
-            Some(i) if line.as_bytes()[i] == b'{' => {
-                let close = line
-                    .rfind('}')
-                    .ok_or_else(|| format!("line {lineno}: unterminated labels"))?;
-                validate_labels(&line[i + 1..close]).map_err(|e| format!("line {lineno}: {e}"))?;
-                (&line[..i], line[close + 1..].trim())
-            }
-            Some(i) => (&line[..i], line[i + 1..].trim()),
-            None => return Err(format!("line {lineno}: sample without value: {line:?}")),
-        };
-        if !valid_name(name_part) {
-            return Err(format!("line {lineno}: bad sample name {name_part:?}"));
-        }
-        value_part
-            .parse::<f64>()
-            .map_err(|_| format!("line {lineno}: bad value {value_part:?}"))?;
+        let sample = parse_sample(line).map_err(|e| format!("line {lineno}: {e}"))?;
+        let name_part = sample.name.as_str();
         let family = name_part
             .strip_suffix("_sum")
             .or_else(|| name_part.strip_suffix("_count"))
@@ -191,40 +177,82 @@ fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-fn validate_labels(body: &str) -> Result<(), String> {
-    if body.is_empty() {
-        return Ok(());
+/// One sample of an exposition page, with label values unescaped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    /// Metric name (a summary's `_sum`/`_count` keep their suffix).
+    pub name: String,
+    /// Label pairs in page order, values unescaped.
+    pub labels: Vec<(String, String)>,
+    /// Sample value.
+    pub value: f64,
+}
+
+/// Parses one sample line, `name value` or `name{k="v",...} value`,
+/// undoing [`PromText`]'s label escapes (`\\`, `\"`, `\n`), so a label
+/// value may hold `,`, `"`, `}` or `=`. Comment and blank lines are
+/// errors: a caller walking a page decides whether to skip them.
+pub fn parse_sample(line: &str) -> Result<Sample, String> {
+    let name_end = line
+        .find(['{', ' '])
+        .ok_or_else(|| format!("sample without value: {line:?}"))?;
+    let name = &line[..name_end];
+    if !valid_name(name) {
+        return Err(format!("bad sample name {name:?}"));
     }
-    // k="v",k="v" — values may contain escaped quotes.
-    let mut rest = body;
+    let (labels, rest) = match line[name_end..].strip_prefix('{') {
+        Some(body) => parse_labels(body)?,
+        None => (Vec::new(), &line[name_end..]),
+    };
+    let value = rest.trim();
+    let value = value
+        .parse::<f64>()
+        .map_err(|_| format!("bad value {value:?}"))?;
+    Ok(Sample {
+        name: name.to_string(),
+        labels,
+        value,
+    })
+}
+
+/// Parses a label body up to and including its closing `}` (`rest`
+/// starts just after the `{`). Returns the unescaped labels and the
+/// text after the `}`.
+#[allow(clippy::type_complexity)]
+fn parse_labels(mut rest: &str) -> Result<(Vec<(String, String)>, &str), String> {
+    let mut labels = Vec::new();
+    if let Some(after) = rest.strip_prefix('}') {
+        return Ok((labels, after));
+    }
     loop {
         let eq = rest
             .find('=')
             .ok_or_else(|| format!("label without '=': {rest:?}"))?;
-        if !valid_name(&rest[..eq]) {
-            return Err(format!("bad label name {:?}", &rest[..eq]));
+        let key = &rest[..eq];
+        if !valid_name(key) {
+            return Err(format!("bad label name {key:?}"));
         }
-        let after = &rest[eq + 1..];
-        if !after.starts_with('"') {
-            return Err(format!("unquoted label value: {after:?}"));
-        }
-        let mut end = None;
-        let bytes = after.as_bytes();
-        let mut i = 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => {
-                    end = Some(i);
-                    break;
-                }
-                _ => i += 1,
+        let quoted = rest[eq + 1..]
+            .strip_prefix('"')
+            .ok_or_else(|| format!("unquoted label value: {:?}", &rest[eq + 1..]))?;
+        let mut value = String::new();
+        let mut chars = quoted.char_indices();
+        let close = loop {
+            match chars.next() {
+                Some((i, '"')) => break i,
+                Some((_, '\\')) => match chars.next() {
+                    Some((_, 'n')) => value.push('\n'),
+                    Some((_, c)) => value.push(c),
+                    None => return Err("unterminated label value".into()),
+                },
+                Some((_, c)) => value.push(c),
+                None => return Err("unterminated label value".into()),
             }
-        }
-        let end = end.ok_or("unterminated label value")?;
-        rest = &after[end + 1..];
-        if rest.is_empty() {
-            return Ok(());
+        };
+        labels.push((key.to_string(), value));
+        rest = &quoted[close + 1..];
+        if let Some(after) = rest.strip_prefix('}') {
+            return Ok((labels, after));
         }
         rest = rest
             .strip_prefix(',')
@@ -272,6 +300,31 @@ mod tests {
         assert!(validate_exposition("# TYPE ec_x counter\n9bad_name 1").is_err());
         assert!(validate_exposition("# TYPE ec_x counter\nec_x{l=unquoted} 1").is_err());
         assert!(validate_exposition("# TYPE ec_x counter\n# TYPE ec_x counter\nec_x 1").is_err());
+        for labels in ["{l=\"open}", "{l=\"v\",}", "{l=\"v\"junk}", "{9l=\"v\"}"] {
+            let page = format!("# TYPE ec_x counter\nec_x{labels} 1");
+            assert!(validate_exposition(&page).is_err(), "{page:?}");
+        }
+        assert_eq!(validate_exposition("# TYPE ec_x counter\nec_x{} 1"), Ok(1));
+    }
+
+    #[test]
+    fn rendered_labels_parse_back_exactly() {
+        // Tenants are named after spec file stems, so a label value can
+        // hold the separators of the label syntax itself.
+        let tenants = ["a,b", "q\"x", "back\\slash", "brace}=x", "line\nbreak"];
+        let mut p = PromText::new();
+        for t in tenants {
+            p.gauge("ec_session_inflight", "In flight.", &[("session", t)], 2.0);
+        }
+        let page = p.render();
+        assert_eq!(validate_exposition(&page), Ok(tenants.len()));
+        let samples: Vec<Sample> = page.lines().filter_map(|l| parse_sample(l).ok()).collect();
+        let got: Vec<&str> = samples.iter().map(|s| s.labels[0].1.as_str()).collect();
+        assert_eq!(got, tenants);
+        assert!(samples.iter().all(|s| s.name == "ec_session_inflight"
+            && s.value == 2.0
+            && s.labels.len() == 1
+            && s.labels[0].0 == "session"));
     }
 
     #[test]

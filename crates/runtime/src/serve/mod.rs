@@ -545,7 +545,7 @@ impl WireServerBuilder {
         self
     }
 
-    /// How often an idle (or flow-blocked) v2 peer is pinged; also the
+    /// How often an idle (or flow-blocked) peer is pinged; also the
     /// read-deadline granularity of the connection loops (default 5s).
     pub fn ping_interval(mut self, d: Duration) -> Self {
         self.ping_interval = d.max(Duration::from_millis(1));
@@ -945,15 +945,10 @@ fn refuse(ctx: &ServerCtx, w: &mut impl Write, reason: String) {
 }
 
 /// Drops a connection the server can no longer trust (corrupt framing,
-/// missed liveness deadline) without refusing anything: v2 peers get a
-/// best-effort [`Frame::Abort`] telling them a resume is safe, v1
-/// peers (which predate `Abort`) get the legacy `Error`.
-fn abort(ctx: &ServerCtx, w: &mut impl Write, peer_version: u32, reason: String) {
-    if peer_version >= 2 {
-        send(ctx, w, &Frame::Abort { reason });
-    } else {
-        send(ctx, w, &Frame::Error { reason });
-    }
+/// missed liveness deadline) without refusing anything: the peer gets a
+/// best-effort [`Frame::Abort`] telling it a resume is safe.
+fn abort(ctx: &ServerCtx, w: &mut impl Write, reason: String) {
+    send(ctx, w, &Frame::Abort { reason });
 }
 
 fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
@@ -971,13 +966,10 @@ fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
     if wire::write_preamble(&mut writer).is_err() || writer.flush().is_err() {
         return;
     }
-    let peer_version = match preamble {
-        Ok(v) => v,
-        Err(e) => {
-            refuse(&ctx, &mut writer, e.to_string());
-            return;
-        }
-    };
+    if let Err(e) = preamble {
+        refuse(&ctx, &mut writer, e.to_string());
+        return;
+    }
     let hello = match wire::read_frame(&mut reader) {
         Ok(f) => f,
         Err(e) => {
@@ -1041,12 +1033,12 @@ fn handle_conn(ctx: Arc<ServerCtx>, mut reader: Box<dyn NetConn>) {
         Role::Producer => {
             ctx.stats.producers_open.fetch_add(1, Relaxed);
             let _open = OpenGuard(&ctx.stats.producers_open);
-            producer_loop(&ctx, &t, &mut reader, &mut writer, peer_version, session);
+            producer_loop(&ctx, &t, &mut reader, &mut writer, session);
         }
         Role::Subscriber => {
             ctx.stats.subscribers_open.fetch_add(1, Relaxed);
             let _open = OpenGuard(&ctx.stats.subscribers_open);
-            subscriber_loop(&ctx, &t, &mut reader, &mut writer, peer_version);
+            subscriber_loop(&ctx, &t, &mut reader, &mut writer);
         }
     }
 }
@@ -1056,7 +1048,6 @@ fn producer_loop(
     t: &Tenant,
     reader: &mut Box<dyn NetConn>,
     writer: &mut Box<dyn NetConn>,
-    peer_version: u32,
     session: Option<Arc<ProducerSession>>,
 ) {
     let mut fr = wire::FrameReader::new();
@@ -1074,15 +1065,13 @@ fn producer_loop(
             return;
         }
         if ctx.draining.load(Relaxed) && !fr.mid_frame() {
-            if peer_version >= 2 {
-                send(
-                    ctx,
-                    writer,
-                    &Frame::Goodbye {
-                        reason: "server draining".into(),
-                    },
-                );
-            }
+            send(
+                ctx,
+                writer,
+                &Frame::Goodbye {
+                    reason: "server draining".into(),
+                },
+            );
             return;
         }
         let frame = match fr.read_from(reader) {
@@ -1095,18 +1084,15 @@ fn producer_loop(
                     abort(
                         ctx,
                         writer,
-                        peer_version,
                         "idle deadline exceeded: reaping half-open producer".into(),
                     );
                     return;
                 }
-                if peer_version >= 2 {
-                    ping_nonce += 1;
-                    ctx.stats.pings.fetch_add(1, Relaxed);
-                    if !send(ctx, writer, &Frame::Ping { nonce: ping_nonce }) {
-                        ctx.stats.crash_closes.fetch_add(1, Relaxed);
-                        return;
-                    }
+                ping_nonce += 1;
+                ctx.stats.pings.fetch_add(1, Relaxed);
+                if !send(ctx, writer, &Frame::Ping { nonce: ping_nonce }) {
+                    ctx.stats.crash_closes.fetch_add(1, Relaxed);
+                    return;
                 }
                 continue;
             }
@@ -1119,7 +1105,7 @@ fn producer_loop(
                 // replays, and dedup keeps the commit exactly-once.
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
+                    abort(ctx, writer, e.to_string());
                 }
                 return;
             }
@@ -1175,15 +1161,9 @@ fn producer_loop(
                             );
                             return;
                         }
-                        let Some(accepted) = apply_batch(
-                            ctx,
-                            writer,
-                            &mut conn_ok,
-                            handle,
-                            source,
-                            bins,
-                            peer_version,
-                        ) else {
+                        let Some(accepted) =
+                            apply_batch(ctx, writer, &mut conn_ok, handle, source, bins)
+                        else {
                             // Terminal (tenant closed / stopping): the
                             // partial batch stays unrecorded — a replay
                             // meets the same terminal refusal, never a
@@ -1199,15 +1179,9 @@ fn producer_loop(
                         accepted
                     }
                     None => {
-                        let Some(accepted) = apply_batch(
-                            ctx,
-                            writer,
-                            &mut conn_ok,
-                            handle,
-                            source,
-                            bins,
-                            peer_version,
-                        ) else {
+                        let Some(accepted) =
+                            apply_batch(ctx, writer, &mut conn_ok, handle, source, bins)
+                        else {
                             return;
                         };
                         accepted
@@ -1297,12 +1271,11 @@ fn apply_batch(
     handle: &SourceHandle,
     source: u32,
     bins: Vec<Option<ec_events::Value>>,
-    peer_version: u32,
 ) -> Option<u32> {
     let mut accepted = 0u32;
     for bin in bins {
         let Some(v) = bin else { continue };
-        if !push_one(ctx, writer, conn_ok, handle, source, v, peer_version) {
+        if !push_one(ctx, writer, conn_ok, handle, source, v) {
             return None;
         }
         accepted += 1;
@@ -1323,7 +1296,6 @@ fn push_one(
     handle: &SourceHandle,
     source: u32,
     value: ec_events::Value,
-    peer_version: u32,
 ) -> bool {
     let mut blocked = false;
     let mut last_ping = Instant::now();
@@ -1374,7 +1346,7 @@ fn push_one(
                     }
                     return false;
                 }
-                if *conn_ok && peer_version >= 2 && last_ping.elapsed() >= ctx.ping_interval {
+                if *conn_ok && last_ping.elapsed() >= ctx.ping_interval {
                     last_ping = Instant::now();
                     ctx.stats.pings.fetch_add(1, Relaxed);
                     if !send(ctx, writer, &Frame::Ping { nonce: 0 }) {
@@ -1404,7 +1376,6 @@ fn subscriber_loop(
     t: &Tenant,
     reader: &mut Box<dyn NetConn>,
     writer: &mut Box<dyn NetConn>,
-    peer_version: u32,
 ) {
     let mut fr = wire::FrameReader::new();
     let started = Instant::now();
@@ -1436,7 +1407,6 @@ fn subscriber_loop(
                     abort(
                         ctx,
                         writer,
-                        peer_version,
                         "idle deadline exceeded: reaping half-open subscriber".into(),
                     );
                     return;
@@ -1445,7 +1415,7 @@ fn subscriber_loop(
             Err(e) => {
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
+                    abort(ctx, writer, e.to_string());
                 }
                 return;
             }
@@ -1500,7 +1470,7 @@ fn subscriber_loop(
             Err(e) => {
                 ctx.stats.crash_closes.fetch_add(1, Relaxed);
                 if !e.is_disconnect() {
-                    abort(ctx, writer, peer_version, e.to_string());
+                    abort(ctx, writer, e.to_string());
                 }
                 break;
             }
@@ -1518,18 +1488,16 @@ fn subscriber_loop(
                 if ctx.drained.load(Relaxed) {
                     // Every acked prefix is flushed and retired, and
                     // this slot is empty: the stream is complete.
-                    if peer_version >= 2 {
-                        send(
-                            ctx,
-                            writer,
-                            &Frame::Goodbye {
-                                reason: "server draining: alarm stream complete".into(),
-                            },
-                        );
-                    }
+                    send(
+                        ctx,
+                        writer,
+                        &Frame::Goodbye {
+                            reason: "server draining: alarm stream complete".into(),
+                        },
+                    );
                     break;
                 }
-                if peer_version >= 2 && last_out.elapsed() >= ctx.ping_interval {
+                if last_out.elapsed() >= ctx.ping_interval {
                     last_out = Instant::now();
                     ping_nonce += 1;
                     ctx.stats.pings.fetch_add(1, Relaxed);

@@ -17,13 +17,14 @@
 //!
 //! Each connection opens with an 8-byte preamble — magic
 //! [`WIRE_MAGIC`] then [`WIRE_VERSION`], both u32 LE, sent by each
-//! side — so a stray HTTP client or an old peer is refused before any
-//! frame is parsed.
+//! side — so a stray HTTP client or a peer speaking any other version
+//! is refused before any frame is parsed.
 //!
 //! Every decode path returns a typed [`WireError`]; corrupt input
 //! (truncation, bit flips, oversized lengths, unknown tags, trailing
 //! bytes) must never panic and never misparse. `tests/wire_props.rs`
-//! holds the property suite and the pinned `wire_v1.bin` byte fixture.
+//! holds the property suite and `tests/wire_fixture.rs` the pinned
+//! `wire_v2.bin` byte fixture.
 
 use ec_events::{SnapshotError, StateReader, StateWriter, Value};
 use std::io::{Read, Write};
@@ -31,18 +32,13 @@ use std::io::{Read, Write};
 /// Connection preamble magic: `"ECWP"` as a little-endian u32.
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"ECWP");
 
-/// Protocol version spoken by this build. Version 2 added the liveness
-/// and resume frames (`Ping`/`Pong`/`HelloResume`/`Goodbye`) without
-/// changing any version-1 encoding, so version-1 peers are still
-/// accepted ([`MIN_WIRE_VERSION`]) — they just never receive the new
-/// frames. Bumping past a peer's version invalidates its fixture on
-/// purpose: the old format must keep decoding or the bump must be
-/// deliberate.
+/// The one protocol version this build speaks and accepts; a peer
+/// announcing any other version is refused with
+/// [`WireError::Version`]. Version 2 added the liveness and resume
+/// frames (`Ping`/`Pong`/`HelloResume`/`Goodbye`/`Abort`), which every
+/// connection may now receive. Bumping it invalidates `wire_v2.bin` on
+/// purpose: a format change must be deliberate.
 pub const WIRE_VERSION: u32 = 2;
-
-/// Oldest peer version still accepted. Every frame tag that existed at
-/// this version encodes identically today — `wire_v1.bin` pins that.
-pub const MIN_WIRE_VERSION: u32 = 1;
 
 /// Hard ceiling on a single frame's payload, applied on both encode
 /// and decode. A corrupt length prefix must not convince the peer to
@@ -592,26 +588,16 @@ fn checked_count(n: u32, payload_len: usize) -> Result<usize, WireError> {
 /// a single write, so an injected duplication or tear operates on the
 /// whole preamble rather than splitting the magic from the version.
 pub fn write_preamble(w: &mut impl Write) -> Result<(), WireError> {
-    write_preamble_version(w, WIRE_VERSION)
-}
-
-/// Writes a preamble claiming a specific (still-supported) `version` —
-/// how the byte-pinned v1 fixture stays writable after a bump.
-pub fn write_preamble_version(w: &mut impl Write, version: u32) -> Result<(), WireError> {
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::Version(version));
-    }
     let mut buf = [0u8; 8];
     buf[..4].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
-    buf[4..].copy_from_slice(&version.to_le_bytes());
+    buf[4..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
     w.write_all(&buf)?;
     Ok(())
 }
 
-/// Reads and validates the peer's preamble; returns the version the
-/// peer speaks (any of [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`]). The
-/// caller must not send frames newer than that version.
-pub fn read_preamble(r: &mut impl Read) -> Result<u32, WireError> {
+/// Reads and validates the peer's preamble: the magic must be
+/// [`WIRE_MAGIC`] and the version exactly [`WIRE_VERSION`].
+pub fn read_preamble(r: &mut impl Read) -> Result<(), WireError> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     let magic = u32::from_le_bytes(buf);
@@ -620,10 +606,10 @@ pub fn read_preamble(r: &mut impl Read) -> Result<u32, WireError> {
     }
     r.read_exact(&mut buf)?;
     let version = u32::from_le_bytes(buf);
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::Version(version));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Writes one frame (length + payload + CRC) and flushes. The whole

@@ -605,3 +605,50 @@ fn bad_hellos_are_refused() {
         report.unwrap_or_else(|e| panic!("{name} closes cleanly: {e}"));
     }
 }
+
+/// Protocol version 1 is retired: a peer announcing it is refused with
+/// `WireError::Version(1)` by the server (which answers with its own
+/// preamble and an `Error` frame carrying that refusal) and by the
+/// client (which fails the connect).
+#[test]
+fn version_1_preamble_is_refused_by_server_and_client() {
+    let server = serve(&["solo"], tenant_builder);
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut w = BufWriter::new(stream.try_clone().unwrap());
+    let mut r = BufReader::new(stream);
+    w.write_all(&wire::WIRE_MAGIC.to_le_bytes()).unwrap();
+    w.write_all(&1u32.to_le_bytes()).unwrap();
+    w.flush().unwrap();
+    wire::read_preamble(&mut r).unwrap();
+    match wire::read_frame(&mut r).unwrap() {
+        Frame::Error { reason } => {
+            assert_eq!(reason, wire::WireError::Version(1).to_string())
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
+    assert_eq!(server.stats().refused, 1);
+    for (name, report) in server.shutdown() {
+        report.unwrap_or_else(|e| panic!("{name} closes cleanly: {e}"));
+    }
+
+    // A listener that reads the client's opening, answers with a
+    // version-1 preamble, and holds the socket until the client hangs
+    // up (closing first could reset the connection under the client).
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let old_server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        wire::read_preamble(&mut conn).unwrap();
+        wire::read_frame(&mut conn).unwrap();
+        let mut preamble = wire::WIRE_MAGIC.to_le_bytes().to_vec();
+        preamble.extend(1u32.to_le_bytes());
+        conn.write_all(&preamble).unwrap();
+        let _ = std::io::copy(&mut conn, &mut std::io::sink());
+    });
+    match WireClient::connect(addr, "", "solo", Role::Producer) {
+        Err(wire::WireError::Version(1)) => {}
+        Err(other) => panic!("expected Version(1), got {other}"),
+        Ok(_) => panic!("a version-1 server must be refused"),
+    }
+    old_server.join().unwrap();
+}

@@ -1,11 +1,9 @@
 //! Byte-compatibility pins for the wire framing.
 //!
-//! `fixtures/wire_v1.bin` holds a v1 preamble plus one of every v1
-//! frame type; `fixtures/wire_v2.bin` adds the v2 liveness/resume
-//! frames (`Ping`, `Pong`, `HelloResume`, `Goodbye`) under a v2
-//! preamble. Both are framed by [`wire::write_frame`] and committed to
-//! the repository. Two guarantees are pinned per fixture (mirroring
-//! the WAL's `wal_v1.bin`):
+//! `fixtures/wire_v2.bin` holds a v2 preamble plus one of every frame
+//! type, framed by [`wire::write_frame`] and committed to the
+//! repository. Two guarantees are pinned (mirroring the WAL's
+//! `wal_v1.bin`):
 //!
 //! 1. the current encoder produces a byte-identical stream for the
 //!    same frames — the framing never drifts, so clients and servers
@@ -14,8 +12,6 @@
 //!    an *old* peer's stream parsed by the *new* code yields the same
 //!    protocol messages.
 //!
-//! The v1 fixture is frozen forever: v2 only *added* frame types, so
-//! every v1 encoding is unchanged and a v1 peer still interoperates.
 //! If either test fails, the wire format changed: that is a protocol
 //! break for every deployed producer and subscriber, and requires a
 //! `WIRE_VERSION` bump plus a new `wire_v3.bin`, not a re-bless.
@@ -34,7 +30,7 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// One of every v1 frame type, with bodies covering every `Value`
+/// Every frame type version 1 defined, with bodies covering every `Value`
 /// variant, silent bins, empty strings and empty lists — the shapes a
 /// real session produces, plus the NaN bit pattern the property tests
 /// skip.
@@ -118,8 +114,8 @@ fn v1_frames() -> Vec<Frame> {
     ]
 }
 
-/// The v2 stream: every v1 frame (unchanged encodings) plus the
-/// liveness/resume frames v2 introduced.
+/// The v2 stream: the version-1 frames (whose encodings v2 kept) plus
+/// the liveness/resume frames v2 introduced.
 fn v2_frames() -> Vec<Frame> {
     let mut frames = v1_frames();
     frames.extend([
@@ -152,9 +148,9 @@ fn v2_frames() -> Vec<Frame> {
     frames
 }
 
-fn write_stream(version: u32, frames: &[Frame]) -> Vec<u8> {
+fn write_stream(frames: &[Frame]) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::write_preamble_version(&mut buf, version).unwrap();
+    wire::write_preamble(&mut buf).unwrap();
     for frame in frames {
         wire::write_frame(&mut buf, frame).unwrap();
     }
@@ -189,8 +185,8 @@ fn same_frame(a: &Frame, b: &Frame) -> bool {
     }
 }
 
-fn check_encoder_pin(name: &str, version: u32, frames: &[Frame]) {
-    let written = write_stream(version, frames);
+fn check_encoder_pin(name: &str, frames: &[Frame]) {
+    let written = write_stream(frames);
     let fixture = fixture_path(name);
     if std::env::var_os("EC_BLESS_FIXTURES").is_some() {
         std::fs::create_dir_all(fixture.parent().unwrap()).unwrap();
@@ -214,11 +210,10 @@ fn check_encoder_pin(name: &str, version: u32, frames: &[Frame]) {
     );
 }
 
-fn check_decode_pin(name: &str, version: u32, frames: &[Frame]) {
+fn check_decode_pin(name: &str, frames: &[Frame]) {
     let committed = std::fs::read(fixture_path(name)).expect("committed fixture present");
     let mut r = std::io::Cursor::new(committed.as_slice());
-    let got_version = wire::read_preamble(&mut r).expect("fixture preamble valid");
-    assert_eq!(got_version, version, "{name} preamble version");
+    wire::read_preamble(&mut r).expect("fixture preamble valid");
     for (i, want) in frames.iter().enumerate() {
         let got = wire::read_frame(&mut r)
             .unwrap_or_else(|e| panic!("{name} frame {i} failed to decode: {e}"));
@@ -235,21 +230,11 @@ fn check_decode_pin(name: &str, version: u32, frames: &[Frame]) {
 }
 
 #[test]
-fn encoder_reproduces_committed_v1_bytes() {
-    check_encoder_pin("wire_v1.bin", 1, &v1_frames());
-}
-
-#[test]
-fn committed_v1_fixture_decodes_to_original_frames() {
-    check_decode_pin("wire_v1.bin", 1, &v1_frames());
-}
-
-#[test]
 fn encoder_reproduces_committed_v2_bytes() {
-    check_encoder_pin("wire_v2.bin", 2, &v2_frames());
+    check_encoder_pin("wire_v2.bin", &v2_frames());
 }
 
 #[test]
 fn committed_v2_fixture_decodes_to_original_frames() {
-    check_decode_pin("wire_v2.bin", 2, &v2_frames());
+    check_decode_pin("wire_v2.bin", &v2_frames());
 }

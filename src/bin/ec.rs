@@ -40,6 +40,7 @@
 use event_correlation::core::EngineError;
 use event_correlation::events::Value;
 use event_correlation::graph::{dot, Numbering, Topology};
+use event_correlation::obs::{parse_sample, Sample};
 use event_correlation::runtime::{Backpressure, EpochPolicy, PushError, StreamRuntimeBuilder};
 use event_correlation::spec::{load_file, LoadedSpec};
 use std::process::ExitCode;
@@ -260,76 +261,129 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-struct StreamOpts {
-    spec_path: String,
+/// Options of `ec stream`, `ec sessions` and `ec serve`: one field per
+/// flag, unset until the flag is given. Each command accepts only the
+/// flags in its list ([`STREAM_FLAGS`], [`SESSIONS_FLAGS`],
+/// [`SERVE_FLAGS`]).
+#[derive(Default)]
+struct RuntimeOpts {
+    spec_paths: Vec<String>,
     threads: Option<usize>,
     epoch_count: Option<usize>,
     epoch_ms: Option<u64>,
     capacity: Option<usize>,
     reject: bool,
+    block: bool,
     quiet: bool,
     checkpoint: Option<String>,
     snapshot_every: Option<u64>,
     metrics: Option<String>,
     trace_out: Option<String>,
+    root: Option<String>,
+    weights: Vec<(String, u32)>,
+    addr: Option<String>,
+    token: Option<String>,
 }
+
+const STREAM_FLAGS: &[&str] = &[
+    "--threads",
+    "--epoch-count",
+    "--epoch-ms",
+    "--capacity",
+    "--reject",
+    "--quiet",
+    "--checkpoint",
+    "--snapshot-every",
+    "--metrics",
+    "--trace",
+];
+
+const SESSIONS_FLAGS: &[&str] = &[
+    "--threads",
+    "--epoch-count",
+    "--root",
+    "--weight",
+    "--metrics",
+    "--quiet",
+];
+
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--threads",
+    "--epoch-count",
+    "--epoch-ms",
+    "--capacity",
+    "--block",
+    "--root",
+    "--weight",
+    "--metrics",
+    "--token",
+    "--quiet",
+];
 
 /// Ring capacity (events per worker lane) of the CLI flight recorder.
 const TRACE_CAPACITY: usize = 8192;
 
-fn parse_stream_opts(args: &[String]) -> Result<StreamOpts, String> {
-    let mut opts = StreamOpts {
-        spec_path: String::new(),
-        threads: None,
-        epoch_count: None,
-        epoch_ms: None,
-        capacity: None,
-        reject: false,
-        quiet: false,
-        checkpoint: None,
-        snapshot_every: None,
-        metrics: None,
-        trace_out: None,
-    };
+/// Parses a runtime command's arguments. A flag outside `accepted` is
+/// an unknown flag. With `single_spec` (`ec stream`) exactly one spec
+/// path is allowed; otherwise one or more.
+fn parse_runtime_opts(
+    args: &[String],
+    accepted: &[&str],
+    single_spec: bool,
+) -> Result<RuntimeOpts, String> {
+    let mut opts = RuntimeOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{flag} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            if single_spec && !opts.spec_paths.is_empty() {
+                return Err(format!("unexpected extra argument {flag:?}"));
+            }
+            opts.spec_paths.push(arg.clone());
+            continue;
+        }
+        if !accepted.contains(&flag) {
+            return Err(format!("unknown flag {flag:?}"));
+        }
+        let mut value = |what: &str| it.next().cloned().ok_or(format!("{flag} needs {what}"));
+        let num = |v: String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("bad {flag} value {v:?}"))
         };
-        match arg.as_str() {
-            "--threads" => opts.threads = Some(num("--threads")? as usize),
-            "--epoch-count" => opts.epoch_count = Some(num("--epoch-count")? as usize),
-            "--epoch-ms" => opts.epoch_ms = Some(num("--epoch-ms")?),
-            "--capacity" => opts.capacity = Some(num("--capacity")? as usize),
-            "--checkpoint" => {
-                let v = it.next().ok_or("--checkpoint needs a directory")?;
-                opts.checkpoint = Some(v.clone());
-            }
-            "--snapshot-every" => opts.snapshot_every = Some(num("--snapshot-every")?),
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs an address")?;
-                opts.metrics = Some(v.clone());
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a file")?;
-                opts.trace_out = Some(v.clone());
+        match flag {
+            "--threads" => opts.threads = Some(num(value("a value")?)? as usize),
+            "--epoch-count" => opts.epoch_count = Some(num(value("a value")?)? as usize),
+            "--epoch-ms" => opts.epoch_ms = Some(num(value("a value")?)?),
+            "--capacity" => opts.capacity = Some(num(value("a value")?)? as usize),
+            "--snapshot-every" => opts.snapshot_every = Some(num(value("a value")?)?),
+            "--checkpoint" => opts.checkpoint = Some(value("a directory")?),
+            "--root" => opts.root = Some(value("a directory")?),
+            "--metrics" => opts.metrics = Some(value("an address")?),
+            "--addr" => opts.addr = Some(value("an address")?),
+            "--trace" => opts.trace_out = Some(value("a file")?),
+            "--token" => opts.token = Some(value("a value")?),
+            "--weight" => {
+                let v = value("NAME=W")?;
+                let (name, w) = v
+                    .split_once('=')
+                    .ok_or_else(|| format!("--weight expects NAME=W, got {v:?}"))?;
+                let w: u32 = w.parse().map_err(|_| format!("bad weight in {v:?}"))?;
+                opts.weights.push((name.to_string(), w));
             }
             "--reject" => opts.reject = true,
+            "--block" => opts.block = true,
             "--quiet" => opts.quiet = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}"));
-            }
-            path => {
-                if !opts.spec_path.is_empty() {
-                    return Err(format!("unexpected extra argument {path:?}"));
-                }
-                opts.spec_path = path.to_string();
-            }
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    if opts.spec_path.is_empty() {
-        return Err(format!("missing spec path\n{USAGE}"));
+    if opts.spec_paths.is_empty() {
+        let what = if single_spec {
+            "spec path"
+        } else {
+            "spec paths"
+        };
+        return Err(format!("missing {what}\n{USAGE}"));
     }
     if opts.epoch_count.is_some() && opts.epoch_ms.is_some() {
         return Err("--epoch-count and --epoch-ms are mutually exclusive".into());
@@ -406,11 +460,12 @@ fn parse_value(raw: &str) -> Value {
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     use std::io::BufRead;
 
-    let opts = parse_stream_opts(args)?;
-    let doc = std::fs::read_to_string(&opts.spec_path)
-        .map_err(|e| format!("reading {:?}: {e}", opts.spec_path))?;
+    let opts = parse_runtime_opts(args, STREAM_FLAGS, true)?;
+    let spec_path = &opts.spec_paths[0];
+    let doc =
+        std::fs::read_to_string(spec_path).map_err(|e| format!("reading {spec_path:?}: {e}"))?;
     let live = event_correlation::spec::load_str_live(&doc)
-        .map_err(|e| format!("loading {:?}: {e}", opts.spec_path))?;
+        .map_err(|e| format!("loading {spec_path:?}: {e}"))?;
     let settings = live.settings.clone();
 
     let policy = if let Some(n) = opts.epoch_count {
@@ -486,7 +541,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if !opts.quiet {
         eprintln!(
             "streaming {:?}: live sources {:?}, epoch policy {policy:?}",
-            opts.spec_path, names
+            spec_path, names
         );
     }
     let mut handles = std::collections::HashMap::new();
@@ -586,54 +641,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     cmd_stream(&rewritten)
 }
 
-/// One parsed Prometheus sample from a text-exposition page.
-struct PromSample {
-    name: String,
-    labels: Vec<(String, String)>,
-    value: f64,
-}
-
-/// Parses Prometheus text exposition into samples, skipping comments
-/// and anything unparsable (`ec top` is a viewer, not a validator).
-fn parse_exposition(body: &str) -> Vec<PromSample> {
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((series, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<f64>() else {
-            continue;
-        };
-        let (name, labels) = match series.split_once('{') {
-            Some((n, rest)) => {
-                let body = rest.strip_suffix('}').unwrap_or(rest);
-                let labels = body
-                    .split(',')
-                    .filter_map(|kv| {
-                        let (k, v) = kv.split_once('=')?;
-                        Some((k.trim().to_string(), v.trim().trim_matches('"').to_string()))
-                    })
-                    .collect();
-                (n.to_string(), labels)
-            }
-            None => (series.to_string(), Vec::new()),
-        };
-        out.push(PromSample {
-            name,
-            labels,
-            value,
-        });
-    }
-    out
-}
-
 /// Sum of every sample named `name`, across all label sets — on a
 /// session endpoint this aggregates the tenant rows.
-fn prom_sum(samples: &[PromSample], name: &str) -> f64 {
+fn prom_sum(samples: &[Sample], name: &str) -> f64 {
     samples
         .iter()
         .filter(|s| s.name == name)
@@ -643,7 +653,7 @@ fn prom_sum(samples: &[PromSample], name: &str) -> f64 {
 
 /// Worst (largest) value of quantile `q` of the summary `name` across
 /// label sets.
-fn prom_quantile(samples: &[PromSample], name: &str, q: &str) -> Option<f64> {
+fn prom_quantile(samples: &[Sample], name: &str, q: &str) -> Option<f64> {
     samples
         .iter()
         .filter(|s| s.name == name && s.labels.iter().any(|(k, v)| k == "quantile" && v == q))
@@ -696,7 +706,11 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
         let body = event_correlation::obs::http_get(&addr, "/metrics").map_err(|e| {
             format!("fetching http://{addr}/metrics: {e} (is the runtime up with --metrics?)")
         })?;
-        let samples = parse_exposition(&body);
+        // A viewer, not a validator: comments and bad lines are skipped.
+        let samples: Vec<Sample> = body
+            .lines()
+            .filter_map(|l| parse_sample(l.trim()).ok())
+            .collect();
         let frame = TopFrame {
             sealed: prom_sum(&samples, "ec_seal_events_total"),
             session_events: samples
@@ -796,7 +810,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
 /// Renders one `ec top` frame from a scraped sample set.
 fn render_top(
     addr: &str,
-    samples: &[PromSample],
+    samples: &[Sample],
     rate: Option<f64>,
     session_rates: &std::collections::HashMap<String, f64>,
 ) {
@@ -852,11 +866,11 @@ fn render_top(
         );
     }
     // Per-tenant rows, present when the endpoint is a SessionPool's.
-    let mut tenants: Vec<&PromSample> = samples
+    let mut tenants: Vec<&Sample> = samples
         .iter()
         .filter(|s| s.name == "ec_session_events_per_sec")
         .collect();
-    let session_of = |s: &PromSample| {
+    let session_of = |s: &Sample| {
         s.labels
             .iter()
             .find(|(k, _)| k == "session")
@@ -907,64 +921,6 @@ fn render_top(
     println!();
 }
 
-struct SessionsOpts {
-    spec_paths: Vec<String>,
-    threads: Option<usize>,
-    epoch_count: Option<usize>,
-    root: Option<String>,
-    weights: Vec<(String, u32)>,
-    metrics: Option<String>,
-    quiet: bool,
-}
-
-fn parse_sessions_opts(args: &[String]) -> Result<SessionsOpts, String> {
-    let mut opts = SessionsOpts {
-        spec_paths: Vec::new(),
-        threads: None,
-        epoch_count: None,
-        root: None,
-        weights: Vec::new(),
-        metrics: None,
-        quiet: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{flag} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
-        };
-        match arg.as_str() {
-            "--threads" => opts.threads = Some(num("--threads")? as usize),
-            "--epoch-count" => opts.epoch_count = Some(num("--epoch-count")? as usize),
-            "--root" => {
-                let v = it.next().ok_or("--root needs a directory")?;
-                opts.root = Some(v.clone());
-            }
-            "--weight" => {
-                let v = it.next().ok_or("--weight needs NAME=W")?;
-                let (name, w) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--weight expects NAME=W, got {v:?}"))?;
-                let w: u32 = w.parse().map_err(|_| format!("bad weight in {v:?}"))?;
-                opts.weights.push((name.to_string(), w));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs an address")?;
-                opts.metrics = Some(v.clone());
-            }
-            "--quiet" => opts.quiet = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}"));
-            }
-            path => opts.spec_paths.push(path.to_string()),
-        }
-    }
-    if opts.spec_paths.is_empty() {
-        return Err(format!("missing spec paths\n{USAGE}"));
-    }
-    Ok(opts)
-}
-
 /// Session name for a spec path: the file stem.
 fn session_name(path: &str) -> String {
     std::path::Path::new(path)
@@ -977,7 +933,7 @@ fn cmd_sessions(args: &[String]) -> Result<(), String> {
     use event_correlation::runtime::SessionPool;
     use std::io::BufRead;
 
-    let opts = parse_sessions_opts(args)?;
+    let opts = parse_runtime_opts(args, SESSIONS_FLAGS, false)?;
     let names: Vec<String> = opts.spec_paths.iter().map(|p| session_name(p)).collect();
     {
         let mut sorted = names.clone();
@@ -1123,88 +1079,6 @@ fn cmd_sessions(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-struct ServeOpts {
-    spec_paths: Vec<String>,
-    addr: String,
-    threads: Option<usize>,
-    epoch_count: Option<usize>,
-    epoch_ms: Option<u64>,
-    capacity: Option<usize>,
-    block: bool,
-    root: Option<String>,
-    weights: Vec<(String, u32)>,
-    metrics: Option<String>,
-    token: Option<String>,
-    quiet: bool,
-}
-
-fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, String> {
-    let mut opts = ServeOpts {
-        spec_paths: Vec::new(),
-        addr: "127.0.0.1:0".into(),
-        threads: None,
-        epoch_count: None,
-        epoch_ms: None,
-        capacity: None,
-        block: false,
-        root: None,
-        weights: Vec::new(),
-        metrics: None,
-        token: None,
-        quiet: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{flag} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
-        };
-        match arg.as_str() {
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs an address")?;
-                opts.addr = v.clone();
-            }
-            "--threads" => opts.threads = Some(num("--threads")? as usize),
-            "--epoch-count" => opts.epoch_count = Some(num("--epoch-count")? as usize),
-            "--epoch-ms" => opts.epoch_ms = Some(num("--epoch-ms")?),
-            "--capacity" => opts.capacity = Some(num("--capacity")? as usize),
-            "--block" => opts.block = true,
-            "--root" => {
-                let v = it.next().ok_or("--root needs a directory")?;
-                opts.root = Some(v.clone());
-            }
-            "--weight" => {
-                let v = it.next().ok_or("--weight needs NAME=W")?;
-                let (name, w) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--weight expects NAME=W, got {v:?}"))?;
-                let w: u32 = w.parse().map_err(|_| format!("bad weight in {v:?}"))?;
-                opts.weights.push((name.to_string(), w));
-            }
-            "--metrics" => {
-                let v = it.next().ok_or("--metrics needs an address")?;
-                opts.metrics = Some(v.clone());
-            }
-            "--token" => {
-                let v = it.next().ok_or("--token needs a value")?;
-                opts.token = Some(v.clone());
-            }
-            "--quiet" => opts.quiet = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}"));
-            }
-            path => opts.spec_paths.push(path.to_string()),
-        }
-    }
-    if opts.spec_paths.is_empty() {
-        return Err(format!("missing spec paths\n{USAGE}"));
-    }
-    if opts.epoch_count.is_some() && opts.epoch_ms.is_some() {
-        return Err("--epoch-count and --epoch-ms are mutually exclusive".into());
-    }
-    Ok(opts)
-}
-
 /// Termination-signal latch for `ec serve`: SIGTERM/SIGINT set a flag
 /// the serve loop polls, turning supervisor stops into graceful
 /// drains. Raw `signal(2)` FFI — the handler only stores an atomic,
@@ -1248,7 +1122,7 @@ mod term_signal {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use event_correlation::runtime::{SessionPool, WireServer};
 
-    let opts = parse_serve_opts(args)?;
+    let opts = parse_runtime_opts(args, SERVE_FLAGS, false)?;
     let names: Vec<String> = opts.spec_paths.iter().map(|p| session_name(p)).collect();
     {
         let mut sorted = names.clone();
@@ -1327,7 +1201,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server_builder = server_builder.metrics_addr(addr.clone());
     }
     let server = server_builder
-        .bind(&opts.addr, pool, sessions)
+        .bind(
+            opts.addr.as_deref().unwrap_or("127.0.0.1:0"),
+            pool,
+            sessions,
+        )
         .map_err(|e| e.to_string())?;
     // The endpoint lines go to stderr before any blocking read so a
     // harness can scrape the ephemeral ports while the server is live.
@@ -1904,7 +1782,7 @@ mod tests {
                     ec_phase_seconds{quantile=\"0.5\"} 0.001\n\
                     ec_phase_seconds{quantile=\"0.99\"} 0.25\n\
                     garbage line without a number x\n";
-        let samples = parse_exposition(page);
+        let samples: Vec<Sample> = page.lines().filter_map(|l| parse_sample(l).ok()).collect();
         assert_eq!(samples.len(), 5);
         assert_eq!(prom_sum(&samples, "ec_executions_total"), 42.0);
         assert_eq!(prom_sum(&samples, "ec_worker_queue_depth"), 7.0);
@@ -1919,7 +1797,7 @@ mod tests {
     fn quantile_takes_the_worst_tenant() {
         let page = "ec_phase_seconds{session=\"a\",quantile=\"0.5\"} 0.001\n\
                     ec_phase_seconds{session=\"b\",quantile=\"0.5\"} 0.030\n";
-        let samples = parse_exposition(page);
+        let samples: Vec<Sample> = page.lines().filter_map(|l| parse_sample(l).ok()).collect();
         assert_eq!(
             prom_quantile(&samples, "ec_phase_seconds", "0.5"),
             Some(0.030)
@@ -1934,13 +1812,83 @@ mod tests {
         assert_eq!(fmt_secs(0.000000250), "250ns");
     }
 
+    /// Each runtime command accepts exactly the flags it accepted before
+    /// the three parsers became one, and refuses every other runtime
+    /// flag as unknown.
+    #[test]
+    fn each_command_accepts_exactly_its_own_flags() {
+        let all = [
+            ("--threads", Some("2")),
+            ("--epoch-count", Some("4")),
+            ("--epoch-ms", Some("5")),
+            ("--capacity", Some("8")),
+            ("--reject", None),
+            ("--block", None),
+            ("--quiet", None),
+            ("--checkpoint", Some("dir")),
+            ("--snapshot-every", Some("3")),
+            ("--metrics", Some("127.0.0.1:0")),
+            ("--trace", Some("t.json")),
+            ("--root", Some("dir")),
+            ("--weight", Some("spec=2")),
+            ("--addr", Some("127.0.0.1:0")),
+            ("--token", Some("tok")),
+        ];
+        let table: [(&str, &[&str], bool, &[&str]); 3] = [
+            (
+                "stream",
+                STREAM_FLAGS,
+                true,
+                &["--block", "--root", "--weight", "--addr", "--token"],
+            ),
+            (
+                "sessions",
+                SESSIONS_FLAGS,
+                false,
+                &[
+                    "--epoch-ms",
+                    "--capacity",
+                    "--reject",
+                    "--block",
+                    "--checkpoint",
+                    "--snapshot-every",
+                    "--trace",
+                    "--addr",
+                    "--token",
+                ],
+            ),
+            (
+                "serve",
+                SERVE_FLAGS,
+                false,
+                &["--reject", "--checkpoint", "--snapshot-every", "--trace"],
+            ),
+        ];
+        for (command, accepted, single_spec, rejected) in table {
+            for (flag, value) in all {
+                let mut args = vec!["spec.xml".to_string(), flag.to_string()];
+                args.extend(value.map(String::from));
+                let result = parse_runtime_opts(&args, accepted, single_spec);
+                if rejected.contains(&flag) {
+                    assert_eq!(
+                        result.err(),
+                        Some(format!("unknown flag {flag:?}")),
+                        "{command} must refuse {flag}"
+                    );
+                } else {
+                    assert!(result.is_ok(), "{command} must accept {flag}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn stream_opts_parse_observability_flags() {
         let args: Vec<String> = ["spec.xml", "--metrics", "127.0.0.1:0", "--trace", "t.json"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = parse_stream_opts(&args).expect("parses");
+        let opts = parse_runtime_opts(&args, STREAM_FLAGS, true).expect("parses");
         assert_eq!(opts.metrics.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(opts.trace_out.as_deref(), Some("t.json"));
     }
